@@ -1,12 +1,16 @@
-//! Minimal JSON support for the wire protocol.
+//! The workspace's one JSON layer.
 //!
-//! The workspace has no crates.io access, so the service carries its
-//! own JSON layer: a strict recursive-descent parser into [`Json`]
-//! (objects, arrays, strings with full escape handling, numbers,
-//! booleans, `null`) and the [`escape`] helper used when emitting
-//! responses. The parser is for *requests* only — responses are built
-//! with deterministic hand-formatted field order so byte-level golden
-//! tests stay stable.
+//! The workspace has no crates.io access, so it carries its own: a
+//! strict recursive-descent parser into [`Json`] (objects, arrays,
+//! strings with full escape handling, numbers, booleans, `null`) and
+//! the [`escape`] helper every JSON writer uses. The service reads
+//! protocol requests with it and calibration documents are loaded
+//! through it ([`crate::CalibrationSnapshot::from_json`]). Writers
+//! (service replies, engine summaries, calibration snapshots) format
+//! their fields by hand in a fixed order so byte-level golden tests
+//! stay stable, and route every string through [`escape`].
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,6 +79,14 @@ impl Json {
         const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
         match self {
             Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < EXACT => Some(*x as u64),
+            _ => None,
+        }
+    }
+
+    /// The items, if this is an array.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -265,12 +277,15 @@ fn peek_low_surrogate(bytes: &[u8], pos: usize) -> Option<u16> {
     (0xDC00..=0xDFFF).contains(&v).then_some(v)
 }
 
+/// Reads exactly four hex digits (RFC 8259). The digit check is
+/// needed because `u16::from_str_radix` alone accepts a leading `+`.
 fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u16, String> {
     let end = *pos + 4;
-    if end > bytes.len() {
-        return Err("truncated \\u escape".into());
+    let hex = bytes.get(*pos..end).ok_or("truncated \\u escape")?;
+    let text = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return Err(format!("bad \\u escape `{text}`"));
     }
-    let text = std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?;
     let v = u16::from_str_radix(text, 16).map_err(|_| format!("bad \\u escape `{text}`"))?;
     *pos = end;
     Ok(v)
@@ -331,12 +346,29 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
-/// Renders `s` as a JSON string literal (quotes included) — the
-/// engine's summary escaping, re-exported so NDJSON payloads
-/// containing QASM (newlines, quotes) stay one line each and cannot
-/// drift from the summaries' rules.
+/// Renders `s` as a JSON string literal (quotes included), escaping
+/// quotes, backslashes and control characters. Every JSON writer in
+/// the workspace uses it, so NDJSON payloads containing QASM
+/// (newlines, quotes) stay one line each and service replies, engine
+/// summaries and calibration snapshots share one set of rules.
 pub fn escape(s: &str) -> String {
-    codar_engine::report::json_string(s)
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]
@@ -447,6 +479,10 @@ mod tests {
             "1 2",
             "{\"a\":1,}",
             "\"\u{0001}\"",
+            // A `\u` escape takes exactly four hex digits; a sign is
+            // not one (`u16::from_str_radix` alone would accept `+041`).
+            r#""\u+041""#,
+            r#""\u12""#,
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
         }

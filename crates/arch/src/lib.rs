@@ -15,6 +15,10 @@
 //! and Google's 54-qubit Sycamore — plus generic linear/ring/grid
 //! generators, and the technology parameter presets of Table I.
 //!
+//! [`json`] is the workspace's one JSON reader and string escaper:
+//! calibration documents, daemon requests and every JSON writer go
+//! through it.
+//!
 //! # Examples
 //!
 //! ```
@@ -31,6 +35,7 @@ pub mod distance;
 pub mod duration;
 pub mod fidelity_model;
 pub mod graph;
+pub mod json;
 pub mod layout;
 pub mod technology;
 

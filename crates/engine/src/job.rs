@@ -29,8 +29,8 @@ pub enum RouterKind {
 
 impl RouterKind {
     /// Every kind, in stable declaration order — the single name table
-    /// both surfaces (engine CLI and daemon protocol) are tested
-    /// against.
+    /// every surface (engine CLI, daemon protocol, `codar` CLI) is
+    /// tested against.
     pub const ALL: [RouterKind; 5] = [
         RouterKind::Codar,
         RouterKind::CodarCal,
@@ -51,8 +51,9 @@ impl RouterKind {
     }
 
     /// Parses a router name. This is the **only** router-name parser in
-    /// the stack — the engine CLI and the daemon protocol both call it,
-    /// so a request string valid on one surface is valid on the other.
+    /// the stack — the engine CLI, the daemon protocol and the `codar`
+    /// CLI all call it, so a name valid on one surface is valid on the
+    /// others.
     /// Accepted aliases: case-insensitive canonical names, plus
     /// `codar_cal`/`codarcal` for `codar-cal` and `portfolio` for
     /// `auto`.

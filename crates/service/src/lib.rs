@@ -34,7 +34,8 @@
 //!   invariants (`loadgen --soak`),
 //! * [`fuzz`] — grammar-aware corpus generation and the protocol
 //!   invariant checker (the `codar-fuzz` bin),
-//! * [`json`] — the minimal JSON layer both sides share.
+//! * [`json`] — re-export of `codar_arch::json`, the workspace's one
+//!   JSON parser and escaper.
 //!
 //! # Determinism contract
 //!
@@ -66,7 +67,6 @@
 pub mod cache;
 pub mod faults;
 pub mod fuzz;
-pub mod json;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
@@ -78,6 +78,7 @@ pub mod trace;
 pub mod worker;
 
 pub use cache::{CacheStats, ShardedCache};
+pub use codar_arch::json;
 pub use faults::{FaultKind, FaultPlan, ShardFleet};
 pub use loadgen::{LoadgenConfig, LoadgenReport, TcpTransport, Transport};
 pub use metrics::{LatencySummary, LATENCY_SCHEMA_VERSION};

@@ -3,7 +3,8 @@
 //! ```text
 //! codar devices
 //! codar stats   <file.qasm>
-//! codar route   <file.qasm> [--device q20] [--router codar|sabre|greedy]
+//! codar route   <file.qasm> [--device q20]
+//!                          [--router codar|codar-cal|sabre|greedy|auto]
 //!                          [--optimize] [--emit] [--seed N]
 //! codar compare <file.qasm> [--device q20] [--seed N]
 //! ```
@@ -11,7 +12,11 @@
 //! Reads OpenQASM 2.0 (with the embedded `qelib1.inc`), decomposes
 //! 3-qubit gates, routes onto the chosen device model, verifies the
 //! result, and reports weighted depth / SWAP counts; `--emit` prints
-//! the routed circuit as OpenQASM.
+//! the routed circuit as OpenQASM. Router names go through
+//! `RouterKind::parse` and routing through the engine's `RouteWorker`,
+//! so the CLI accepts exactly the names (and aliases) the engine and
+//! the daemon accept. With no calibration snapshot, `codar-cal` routes
+//! as `codar`, and `auto` keeps its best member by depth and SWAPs.
 
 use codar_repro::arch::Device;
 use codar_repro::circuit::decompose::decompose_three_qubit_gates;
@@ -19,14 +24,14 @@ use codar_repro::circuit::from_qasm::{circuit_from_source, circuit_to_qasm};
 use codar_repro::circuit::optimize::optimize;
 use codar_repro::circuit::stats::CircuitStats;
 use codar_repro::circuit::Circuit;
-use codar_repro::router::sabre::reverse_traversal_mapping;
+use codar_repro::engine::{RouteWorker, RouterKind, RouterVariant};
 use codar_repro::router::verify::{check_coupling, check_equivalence};
-use codar_repro::router::{CodarRouter, GreedyRouter, RoutedCircuit, SabreRouter};
+use codar_repro::router::RoutedCircuit;
 use std::process::ExitCode;
 
 struct Options {
     device: Device,
-    router: String,
+    router: RouterKind,
     optimize: bool,
     emit: bool,
     seed: u64,
@@ -35,7 +40,7 @@ struct Options {
 fn parse_flags(args: &[String]) -> Result<Options, String> {
     let mut options = Options {
         device: Device::ibm_q20_tokyo(),
-        router: "codar".to_string(),
+        router: RouterKind::Codar,
         optimize: false,
         emit: false,
         seed: 0,
@@ -51,10 +56,8 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
             }
             "--router" => {
                 let name = args.get(i + 1).ok_or("--router needs a value")?;
-                if !["codar", "sabre", "greedy"].contains(&name.as_str()) {
-                    return Err(format!("unknown router `{name}`"));
-                }
-                options.router = name.clone();
+                options.router =
+                    RouterKind::parse(name).ok_or_else(|| format!("unknown router `{name}`"))?;
                 i += 2;
             }
             "--seed" => {
@@ -90,15 +93,24 @@ fn load_circuit(path: &str, do_optimize: bool) -> Result<Circuit, String> {
     })
 }
 
-fn route_one(circuit: &Circuit, options: &Options) -> Result<RoutedCircuit, String> {
-    let initial = reverse_traversal_mapping(circuit, &options.device, options.seed);
-    let routed = match options.router.as_str() {
-        "codar" => CodarRouter::new(&options.device).route_with_mapping(circuit, initial),
-        "sabre" => SabreRouter::new(&options.device).route_with_mapping(circuit, initial),
-        _ => GreedyRouter::new(&options.device).route_with_mapping(circuit, initial),
-    }
-    .map_err(|e| e.to_string())?;
-    check_coupling(&routed.circuit, &options.device).map_err(|e| e.to_string())?;
+fn route_one(
+    circuit: &Circuit,
+    device: &Device,
+    router: RouterKind,
+    seed: u64,
+) -> Result<RoutedCircuit, String> {
+    let mut worker = RouteWorker::new();
+    let initial = worker.initial_mapping(circuit, device, seed);
+    let routed = worker
+        .route(
+            circuit,
+            device,
+            &RouterVariant::of_kind(router),
+            Some(initial),
+            None,
+        )
+        .map_err(|e| e.to_string())?;
+    check_coupling(&routed.circuit, device).map_err(|e| e.to_string())?;
     check_equivalence(circuit, &routed).map_err(|e| e.to_string())?;
     Ok(routed)
 }
@@ -145,12 +157,12 @@ fn cmd_route(path: &str, options: &Options) -> Result<(), String> {
             options.device.num_qubits()
         ));
     }
-    let routed = route_one(&circuit, options)?;
+    let routed = route_one(&circuit, &options.device, options.router, options.seed)?;
     println!(
         "{} on {} via {}:",
         path,
         options.device.name(),
-        options.router
+        options.router.name()
     );
     println!("  input gates:     {}", circuit.len());
     println!("  output gates:    {}", routed.gate_count());
@@ -175,39 +187,27 @@ fn cmd_compare(path: &str, options: &Options) -> Result<(), String> {
         "{:<10}{:>14}{:>10}{:>12}",
         "router", "weighted D", "swaps", "gate count"
     );
-    let mut results = Vec::new();
-    for router in ["codar", "sabre", "greedy"] {
-        let opts = Options {
-            device: options.device.clone(),
-            router: router.to_string(),
-            optimize: options.optimize,
-            emit: false,
-            seed: options.seed,
-        };
-        let routed = route_one(&circuit, &opts)?;
+    let mut depths = Vec::new();
+    for router in [RouterKind::Codar, RouterKind::Sabre, RouterKind::Greedy] {
+        let routed = route_one(&circuit, &options.device, router, options.seed)?;
         println!(
             "{:<10}{:>14}{:>10}{:>12}",
-            router,
+            router.name(),
             routed.weighted_depth,
             routed.swaps_inserted,
             routed.gate_count()
         );
-        results.push((router, routed.weighted_depth));
+        depths.push(routed.weighted_depth);
     }
-    if let (Some(codar), Some(sabre)) = (
-        results.iter().find(|(r, _)| *r == "codar"),
-        results.iter().find(|(r, _)| *r == "sabre"),
-    ) {
-        println!(
-            "\nspeedup (sabre/codar): {:.3}",
-            sabre.1 as f64 / codar.1.max(1) as f64
-        );
-    }
+    println!(
+        "\nspeedup (sabre/codar): {:.3}",
+        depths[1] as f64 / depths[0].max(1) as f64
+    );
     Ok(())
 }
 
 fn usage() -> &'static str {
-    "usage:\n  codar devices\n  codar stats <file.qasm>\n  codar route <file.qasm> [--device NAME] [--router codar|sabre|greedy] [--optimize] [--emit] [--seed N]\n  codar compare <file.qasm> [--device NAME] [--optimize] [--seed N]"
+    "usage:\n  codar devices\n  codar stats <file.qasm>\n  codar route <file.qasm> [--device NAME] [--router codar|codar-cal|sabre|greedy|auto] [--optimize] [--emit] [--seed N]\n  codar compare <file.qasm> [--device NAME] [--optimize] [--seed N]"
 }
 
 fn main() -> ExitCode {
