@@ -70,6 +70,11 @@ pub fn action_on(gate: &Gate, qubit: QubitId) -> QubitAction {
         .iter()
         .position(|&q| q == qubit)
         .expect("qubit is not an operand of this gate");
+    action_at(gate, pos)
+}
+
+/// Classifies how `gate` acts on its `pos`-th operand (`gate.qubits[pos]`).
+pub fn action_at(gate: &Gate, pos: usize) -> QubitAction {
     match gate.kind {
         GateKind::Id => QubitAction::Identity,
         GateKind::Z

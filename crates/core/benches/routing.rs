@@ -1,11 +1,13 @@
 //! Router hot-path benchmarks at the `codar-router` level: scratch
-//! reuse vs fresh allocation, the cached CF front, and the incremental
-//! SWAP scorer. Run with `cargo bench -p codar-router`.
+//! reuse vs fresh allocation, the cached CF front, the incremental
+//! SWAP scorer, and linear vs all-pairs routed-circuit verification.
+//! Run with `cargo bench -p codar-router`.
 
 use codar_arch::Device;
-use codar_benchmarks::generators;
+use codar_benchmarks::{full_suite, generators};
 use codar_router::front::{CommutativeFront, DEFAULT_WINDOW};
 use codar_router::heuristic::{priority, SwapScorer};
+use codar_router::verify::{check_equivalence, check_equivalence_reference};
 use codar_router::{CodarRouter, Mapping, RouterScratch, SabreRouter};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -119,9 +121,39 @@ fn bench_swap_scoring(c: &mut Criterion) {
     });
 }
 
+/// Routed-circuit equivalence: the per-wire run checker vs the
+/// all-pairs reference, on the suite's largest circuit (`random_20`,
+/// 2500 gates on q20) and a whole-device Eagle-127 syndrome cycle.
+fn bench_verify_equivalence(c: &mut Criterion) {
+    let random_20 = full_suite()
+        .into_iter()
+        .find(|e| e.name == "random_20")
+        .expect("suite entry")
+        .circuit;
+    let cases = [
+        ("random_20_q20", random_20, Device::ibm_q20_tokyo()),
+        (
+            "syndrome_cycle_eagle127",
+            generators::syndrome_cycle(64, 2),
+            Device::ibm_eagle127(),
+        ),
+    ];
+    let mut group = c.benchmark_group("verify_equivalence");
+    for (name, circuit, device) in &cases {
+        let routed = CodarRouter::new(device).route(circuit).expect("fits");
+        group.bench_with_input(BenchmarkId::new("fast", name), &routed, |b, routed| {
+            b.iter(|| black_box(check_equivalence(circuit, routed).is_ok()));
+        });
+        group.bench_with_input(BenchmarkId::new("reference", name), &routed, |b, routed| {
+            b.iter(|| black_box(check_equivalence_reference(circuit, routed).is_ok()));
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_scratch_reuse, bench_cf_cache, bench_swap_scoring
+    targets = bench_scratch_reuse, bench_cf_cache, bench_swap_scoring, bench_verify_equivalence
 }
 criterion_main!(benches);

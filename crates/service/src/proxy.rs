@@ -35,8 +35,8 @@ use crate::cache::{fnv1a_extend, key_material, FNV_OFFSET};
 use crate::json::Json;
 use crate::metrics::{Histogram, ServiceMetrics};
 use crate::protocol::{
-    attach_id, attach_trace, overloaded_body, shutdown_body, CalAction, Request,
-    TRACE_REPLY_DEFAULT, TRACE_REPLY_MAX,
+    attach_id, attach_trace, not_utf8_body, overloaded_body, read_request_line, shutdown_body,
+    CalAction, Request, TRACE_REPLY_DEFAULT, TRACE_REPLY_MAX,
 };
 use crate::server::{SharedWriter, DEFAULT_CAL_ALPHA};
 use crate::trace::{phase_sample, TraceCtx, TraceRecorder};
@@ -735,19 +735,25 @@ impl Proxy {
     /// Propagates I/O errors from the client reader or writer.
     pub fn serve_ndjson(
         &self,
-        reader: impl BufRead,
+        mut reader: impl BufRead,
         mut writer: impl Write,
     ) -> std::io::Result<()> {
         let mut conns = self.connections();
-        for line in reader.lines() {
-            let line = line?;
+        let mut buf = Vec::new();
+        while let Some(line) = read_request_line(&mut reader, &mut buf)? {
             if self.shutdown_requested() {
                 break;
             }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut response = self.handle_line(&line, &mut conns);
+            let mut response = match line {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => self.handle_line(line, &mut conns),
+                // Answered here, as a backend would: the bytes cannot
+                // be forwarded as a text line.
+                Err(_) => {
+                    ServiceMetrics::bump(&self.inner.metrics.requests);
+                    not_utf8_body()
+                }
+            };
             response.push('\n');
             writer.write_all(response.as_bytes())?;
             writer.flush()?;

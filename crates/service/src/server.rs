@@ -29,9 +29,9 @@ use crate::faults::{FaultAction, FaultInjector, FaultPlan, KILL_EXIT_CODE};
 use crate::json::escape;
 use crate::metrics::{ServiceMetrics, PHASE_NAMES, VERB_NAMES};
 use crate::protocol::{
-    attach_id, attach_trace, calibration_get_body, calibration_set_body, error_body,
-    overloaded_body, shutdown_body, CalAction, CalPayload, Request, TRACE_REPLY_DEFAULT,
-    TRACE_REPLY_MAX,
+    attach_id, attach_trace, calibration_get_body, calibration_set_body, error_body, not_utf8_body,
+    overloaded_body, read_request_line, shutdown_body, CalAction, CalPayload, Request,
+    TRACE_REPLY_DEFAULT, TRACE_REPLY_MAX,
 };
 use crate::queue::{Bounded, PushError};
 use crate::trace::{phase_sample, TraceCtx, TraceRecorder};
@@ -44,6 +44,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::str::Utf8Error;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -914,6 +915,20 @@ impl Service {
         out
     }
 
+    /// Answers one framed request line: [`Service::handle_line`] for
+    /// text, a well-formed error reply for bytes that are not UTF-8.
+    fn respond(&self, line: Result<&str, Utf8Error>) -> String {
+        match line {
+            Ok(line) => self.handle_line(line),
+            Err(_) => {
+                let metrics = &self.inner.metrics;
+                ServiceMetrics::bump(&metrics.requests);
+                ServiceMetrics::bump(&metrics.errors);
+                not_utf8_body()
+            }
+        }
+    }
+
     /// Serves one NDJSON stream: one response line per request line,
     /// in order. Returns after EOF or a `shutdown` request — including
     /// a shutdown served on *another* stream of the same service: the
@@ -926,11 +941,11 @@ impl Service {
     /// Propagates I/O errors from the reader or writer.
     pub fn serve_ndjson(
         &self,
-        reader: impl BufRead,
+        mut reader: impl BufRead,
         mut writer: impl Write,
     ) -> std::io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
+        let mut buf = Vec::new();
+        while let Some(line) = read_request_line(&mut reader, &mut buf)? {
             // Before, not only after, handling: a shutdown served on a
             // concurrent stream must stop this one at its next line,
             // not let it keep serving indefinitely. A fired kill fault
@@ -938,7 +953,7 @@ impl Service {
             if self.shutdown_requested() || self.fault_killed() {
                 break;
             }
-            if line.trim().is_empty() {
+            if line.is_ok_and(|line| line.trim().is_empty()) {
                 continue;
             }
             // The fault plan counts request lines globally across this
@@ -961,7 +976,7 @@ impl Service {
                 FaultAction::CloseAfter(bytes) => {
                     // The torn frame: a prefix of the real reply, then
                     // the stream ends.
-                    let mut response = self.handle_line(&line);
+                    let mut response = self.respond(line);
                     response.push('\n');
                     let cut = bytes.min(response.len());
                     writer.write_all(&response.as_bytes()[..cut])?;
@@ -969,7 +984,7 @@ impl Service {
                     break;
                 }
             }
-            let mut response = self.handle_line(&line);
+            let mut response = self.respond(line);
             response.push('\n');
             // One write per response line: a split write would put the
             // newline in its own TCP segment and stall on

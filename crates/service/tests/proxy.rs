@@ -420,3 +420,33 @@ fn shutdown_broadcast_reaches_every_shard() {
     }
     fleet.shutdown();
 }
+
+/// The proxy frames bytes like the daemon: a line that is not UTF-8 is
+/// answered with the daemon's own error reply and the stream continues,
+/// both for locally answered verbs and for forwarded ones.
+#[test]
+fn proxy_answers_non_utf8_lines_and_keeps_serving() {
+    let base = ServiceConfig::default();
+    let mut fleet =
+        ShardFleet::start(&base, &[None], Duration::from_millis(300)).expect("fleet starts");
+    let proxy = Proxy::start(tier_config(fleet.addrs())).expect("proxy starts");
+    let input = b"{\"type\":\"devices\",\"id\":1}\n\xff\xfe\n{\"type\":\"health\",\"id\":3}\n";
+    let mut out = Vec::new();
+    proxy
+        .serve_ndjson(&input[..], &mut out)
+        .expect("stream served");
+    let text = String::from_utf8(out).expect("replies are UTF-8");
+    let replies: Vec<&str> = text.lines().collect();
+    assert_eq!(replies.len(), 3, "{text}");
+    assert_eq!(
+        replies[0],
+        Service::start(base).handle_line(r#"{"type":"devices","id":1}"#)
+    );
+    assert_eq!(replies[1], error_body("request line is not valid UTF-8"));
+    assert!(
+        replies[2].starts_with(r#"{"id":3,"type":"health","status":"ok""#),
+        "{}",
+        replies[2]
+    );
+    fleet.shutdown();
+}

@@ -6,11 +6,13 @@
 //! oversized keys. Replayed against the real `coded --stdin` binary,
 //! the daemon must (a) never panic or crash, (b) emit exactly one
 //! well-formed JSON reply per line, and (c) reply deterministically.
-//! (The corpus is valid UTF-8 by construction: the line reader
-//! terminates the stream on invalid UTF-8 before any request parsing
-//! runs, which is transport framing, not protocol handling.)
+//! The corpus is valid UTF-8 text; lines that are not UTF-8 are covered
+//! in-process below, against the byte framer both `serve_ndjson` loops
+//! share.
 
 use codar_service::json::Json;
+use codar_service::protocol::not_utf8_body;
+use codar_service::{Service, ServiceConfig};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
@@ -77,5 +79,32 @@ fn hostile_corpus_gets_one_well_formed_error_reply_per_line() {
         normalized(&replies),
         normalized(&replay()),
         "hostile replies diverged across runs"
+    );
+}
+
+/// A line that is not UTF-8 gets one well-formed error reply and the
+/// stream keeps going; the valid lines around it are answered exactly
+/// as they are in an all-valid stream (CRLF and a missing final newline
+/// included).
+#[test]
+fn non_utf8_line_is_answered_and_the_stream_continues() {
+    let serve = |input: &[u8]| {
+        let service = Service::start(ServiceConfig::default());
+        let mut out = Vec::new();
+        service
+            .serve_ndjson(input, &mut out)
+            .expect("stream served");
+        String::from_utf8(out).expect("replies are UTF-8")
+    };
+    let valid = serve(b"{\"type\":\"devices\",\"id\":1}\r\n\n{\"type\":\"devices\",\"id\":3}");
+    let mixed = serve(
+        b"{\"type\":\"devices\",\"id\":1}\r\n{\"type\":\"st\xffats\",\"id\":2}\n\xc0\n{\"type\":\"devices\",\"id\":3}",
+    );
+    let valid: Vec<&str> = valid.lines().collect();
+    let mixed: Vec<&str> = mixed.lines().collect();
+    assert_eq!(valid.len(), 2);
+    assert_eq!(
+        mixed,
+        [valid[0], &not_utf8_body(), &not_utf8_body(), valid[1]]
     );
 }
