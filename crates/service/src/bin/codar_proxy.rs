@@ -22,7 +22,7 @@
 //! `codar-trace --merge` can stitch proxy and shard logs into
 //! per-request waterfalls.
 
-use codar_service::{Proxy, ProxyConfig};
+use codar_service::{wire, Proxy, ProxyConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -36,7 +36,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
         config: ProxyConfig::default(),
         listen: "127.0.0.1:7800".to_string(),
-        drain: Duration::from_millis(5000),
+        drain: wire::DEFAULT_DRAIN,
     };
     let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
         args.get(i + 1)
@@ -126,9 +126,7 @@ fn run(args: Args) -> Result<(), String> {
             .map_or(args.listen.clone(), |a| a.to_string()),
         proxy.config().retries,
     );
-    proxy
-        .serve_tcp_with_drain(listener, args.drain)
-        .map_err(|e| format!("accept loop failed: {e}"))
+    wire::serve_tcp(&proxy, listener, args.drain).map_err(|e| format!("accept loop failed: {e}"))
 }
 
 fn main() -> ExitCode {

@@ -35,6 +35,7 @@
 //! facility; production daemons run without it.
 
 use codar_service::faults::FaultPlan;
+use codar_service::wire;
 use codar_service::{Service, ServiceConfig};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -51,7 +52,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         config: ServiceConfig::default(),
         stdin: false,
         listen: "127.0.0.1:7878".to_string(),
-        drain: Duration::from_millis(5000),
+        drain: wire::DEFAULT_DRAIN,
     };
     let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
         args.get(i + 1)
@@ -129,8 +130,7 @@ fn run(args: &Args) -> Result<(), String> {
     if args.stdin {
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
-        service
-            .serve_ndjson(stdin.lock(), stdout.lock())
+        wire::serve_stream(&service, stdin.lock(), stdout.lock())
             .map_err(|e| format!("stdin stream failed: {e}"))
     } else {
         let listener = std::net::TcpListener::bind(&args.listen)
@@ -143,8 +143,7 @@ fn run(args: &Args) -> Result<(), String> {
             args.config.workers.max(1),
             args.config.cache_capacity,
         );
-        service
-            .serve_tcp_with_drain(listener, args.drain)
+        wire::serve_tcp(&service, listener, args.drain)
             .map_err(|e| format!("accept loop failed: {e}"))
     }
 }

@@ -33,6 +33,7 @@
 //! ```
 
 use crate::server::{Service, ServiceConfig};
+use crate::wire::{serve_tcp, Endpoint};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -351,7 +352,7 @@ impl ShardFleet {
             };
             let service = Service::start(config);
             let server = service.clone();
-            let accept = std::thread::spawn(move || server.serve_tcp_with_drain(listener, drain));
+            let accept = std::thread::spawn(move || serve_tcp(&server, listener, drain));
             shards.push(FleetShard {
                 addr,
                 service,
@@ -377,7 +378,7 @@ impl ShardFleet {
 
     /// Whether shard `i` has died to a `kill` fault.
     pub fn is_killed(&self, i: usize) -> bool {
-        self.shards[i].service.fault_killed()
+        self.shards[i].service.killed()
     }
 
     /// Restarts shard `i` on its original port with a fresh,
@@ -408,7 +409,7 @@ impl ShardFleet {
                     let drain = self.drain;
                     shard.service = service;
                     shard.accept = Some(std::thread::spawn(move || {
-                        server.serve_tcp_with_drain(listener, drain)
+                        serve_tcp(&server, listener, drain)
                     }));
                     return Ok(());
                 }

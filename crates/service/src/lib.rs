@@ -18,7 +18,10 @@
 //! * [`queue`] — the bounded request queue (backpressure, never
 //!   unbounded memory),
 //! * [`worker`] — the routing pool (per-thread scratch, verification),
-//! * [`server`] — [`Service`]: lifecycle wiring, stdin/TCP front ends,
+//! * [`server`] — [`Service`]: lifecycle wiring,
+//! * [`wire`] — the one NDJSON transport: the bounded line framer, the
+//!   stream and TCP accept/drain loops `coded` and `codar-proxy`
+//!   share, and the client connection,
 //! * [`proxy`] — the sharded front tier: rendezvous-hashed fan-out
 //!   over N `coded` backends with health probes, bounded retry and
 //!   failover (`codar-proxy`),
@@ -75,6 +78,7 @@ pub mod queue;
 pub mod server;
 pub mod soak;
 pub mod trace;
+pub mod wire;
 pub mod worker;
 
 pub use cache::{CacheStats, ShardedCache};

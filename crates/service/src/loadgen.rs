@@ -38,13 +38,12 @@ use crate::cache::{fnv1a_extend, FNV_OFFSET};
 use crate::json::{escape, Json};
 use crate::metrics::{Histogram, LatencySummary, PHASE_NAMES};
 use crate::server::Service;
+use crate::wire::Conn;
 use crate::LOADGEN_SUMMARY_VERSION;
 use codar_benchmarks::mix::{service_pool, CircuitMix};
 use codar_circuit::from_qasm::circuit_to_qasm;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::io::{BufRead as _, BufReader, Write as _};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Load-generation parameters.
@@ -99,11 +98,9 @@ impl Transport for Service {
     }
 }
 
-/// NDJSON-over-TCP transport to a running `coded` daemon.
-pub struct TcpTransport {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
+/// NDJSON-over-TCP transport to a running `coded` or `codar-proxy`
+/// (a [`Conn`] without timeouts).
+pub struct TcpTransport(Conn);
 
 impl TcpTransport {
     /// Connects to `addr` (e.g. `127.0.0.1:7878`).
@@ -112,34 +109,13 @@ impl TcpTransport {
     ///
     /// Propagates connection errors.
     pub fn connect(addr: &str) -> std::io::Result<TcpTransport> {
-        let writer = TcpStream::connect(addr)?;
-        // Small request lines must not wait for Nagle coalescing.
-        writer.set_nodelay(true)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(TcpTransport { reader, writer })
+        Conn::connect(addr, None, None).map(TcpTransport)
     }
 }
 
 impl Transport for TcpTransport {
     fn call(&mut self, line: &str) -> std::io::Result<String> {
-        // One write per request: line + newline in a single segment.
-        let mut framed = String::with_capacity(line.len() + 1);
-        framed.push_str(line);
-        framed.push('\n');
-        self.writer.write_all(framed.as_bytes())?;
-        self.writer.flush()?;
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "daemon closed the connection",
-            ));
-        }
-        while response.ends_with('\n') || response.ends_with('\r') {
-            response.pop();
-        }
-        Ok(response)
+        self.0.call(line)
     }
 }
 
@@ -522,10 +498,8 @@ pub fn run_open_loop(config: &LoadgenConfig, addr: &str) -> std::io::Result<Load
         offsets.push(Duration::from_micros(at as u64));
     }
 
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream.try_clone()?;
+    let mut conn = Conn::connect(addr, None, None)?;
+    let mut sender = conn.try_clone()?;
     let start = Instant::now();
     let send_offsets = offsets.clone();
     let sender = std::thread::Builder::new()
@@ -537,33 +511,14 @@ pub fn run_open_loop(config: &LoadgenConfig, addr: &str) -> std::io::Result<Load
                 if deadline > now {
                     std::thread::sleep(deadline - now);
                 }
-                let mut framed = String::with_capacity(line.len() + 1);
-                framed.push_str(line);
-                framed.push('\n');
-                writer.write_all(framed.as_bytes())?;
-                writer.flush()?;
+                sender.send(line)?;
             }
             Ok(())
         })
         .expect("spawn open-loop writer");
 
-    let mut read_error = None;
-    for offset in &offsets {
-        let mut response = String::new();
-        let n = match reader.read_line(&mut response) {
-            Ok(n) => n,
-            Err(e) => {
-                read_error = Some(e);
-                break;
-            }
-        };
-        if n == 0 {
-            read_error = Some(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "daemon closed the connection mid-run",
-            ));
-            break;
-        }
+    let read: std::io::Result<()> = offsets.iter().try_for_each(|offset| {
+        let response = conn.recv()?;
         // Latency from the scheduled arrival, not the actual send.
         report.latencies_us.push(
             start
@@ -572,21 +527,12 @@ pub fn run_open_loop(config: &LoadgenConfig, addr: &str) -> std::io::Result<Load
                 .as_micros()
                 .min(u128::from(u64::MAX)) as u64,
         );
-        while response.ends_with('\n') || response.ends_with('\r') {
-            response.pop();
-        }
         observe(&mut report, &response);
-    }
-    let send_result = sender.join().expect("open-loop writer joins");
-    send_result?;
-    if let Some(e) = read_error {
-        return Err(e);
-    }
-    let mut probe = TcpTransport {
-        reader,
-        writer: stream,
-    };
-    probe_target(config, &mut probe, &mut report)?;
+        Ok(())
+    });
+    sender.join().expect("open-loop writer joins")?;
+    read?;
+    probe_target(config, &mut TcpTransport(conn), &mut report)?;
     Ok(report)
 }
 
@@ -713,7 +659,9 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = {
             let service = service.clone();
-            std::thread::spawn(move || service.serve_tcp(listener))
+            std::thread::spawn(move || {
+                crate::wire::serve_tcp(&service, listener, crate::wire::DEFAULT_DRAIN)
+            })
         };
         let open = run_open_loop(&config, &addr).unwrap();
         let mut shutdown = TcpTransport::connect(&addr).unwrap();
@@ -738,6 +686,27 @@ mod tests {
             "{closed_json}"
         );
         assert!(closed_json.contains("\"arrival_us\": 0"), "{closed_json}");
+    }
+
+    #[test]
+    fn tcp_transport_rejects_a_torn_reply() {
+        use std::io::{BufRead as _, BufReader, Write as _};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // Read the request first: closing on unread bytes would
+            // reset the connection instead of ending the stream.
+            let mut request = String::new();
+            BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut request)
+                .unwrap();
+            stream.write_all(b"{\"type\":\"stats\",\"sta").unwrap();
+        });
+        let mut transport = TcpTransport::connect(&addr).unwrap();
+        let torn = transport.call("{\"type\":\"stats\"}").unwrap_err();
+        assert_eq!(torn.kind(), std::io::ErrorKind::InvalidData, "{torn}");
+        peer.join().unwrap();
     }
 
     #[test]

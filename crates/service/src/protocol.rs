@@ -38,8 +38,6 @@ use crate::json::{escape, Json};
 use crate::trace::valid_trace_id;
 use codar_circuit::schedule::Time;
 use codar_engine::{Backend, RouterKind};
-use std::io::BufRead;
-use std::str::Utf8Error;
 
 /// Most span lines a `trace` request may ask for (`n` is clamped).
 pub const TRACE_REPLY_MAX: u64 = 256;
@@ -545,39 +543,6 @@ pub fn error_body(message: &str) -> String {
         "{{\"type\":\"error\",\"status\":\"error\",\"error\":{}}}",
         escape(message)
     )
-}
-
-/// The reply body for a request line that is not valid UTF-8. Daemon
-/// and proxy answer such lines alike, so the tier adds no error shape
-/// of its own.
-pub fn not_utf8_body() -> String {
-    error_body("request line is not valid UTF-8")
-}
-
-/// Reads the next request line into `buf`, reused across calls. The
-/// framing is [`BufRead::lines`]' — split at `\n`, drop a trailing
-/// `\r\n` or `\n` — but byte-safe: a line that is not UTF-8 comes back
-/// as `Some(Err(_))` for the caller to answer, where `lines()` would
-/// end the stream. Returns `Ok(None)` at end of input.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `reader`.
-pub fn read_request_line<'b>(
-    reader: &mut impl BufRead,
-    buf: &'b mut Vec<u8>,
-) -> std::io::Result<Option<Result<&'b str, Utf8Error>>> {
-    buf.clear();
-    if reader.read_until(b'\n', buf)? == 0 {
-        return Ok(None);
-    }
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-        if buf.last() == Some(&b'\r') {
-            buf.pop();
-        }
-    }
-    Ok(Some(std::str::from_utf8(buf)))
 }
 
 /// The backpressure response body: the bounded request queue was full.

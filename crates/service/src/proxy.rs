@@ -30,23 +30,26 @@
 //! for the same request stream, a 1-shard and an N-shard deployment
 //! produce byte-identical route-response multisets (the determinism
 //! gate in `tests/proxy.rs` and CI).
+//!
+//! Client streams, the accept/drain loop and backend connections run
+//! on the daemon's own transport, [`crate::wire`] (`Proxy` is an
+//! [`Endpoint`]).
 
 use crate::cache::{fnv1a_extend, key_material, FNV_OFFSET};
 use crate::json::Json;
 use crate::metrics::{Histogram, ServiceMetrics};
 use crate::protocol::{
-    attach_id, attach_trace, not_utf8_body, overloaded_body, read_request_line, shutdown_body,
-    CalAction, Request, TRACE_REPLY_DEFAULT, TRACE_REPLY_MAX,
+    attach_id, attach_trace, overloaded_body, shutdown_body, CalAction, Request,
+    TRACE_REPLY_DEFAULT, TRACE_REPLY_MAX,
 };
-use crate::server::{SharedWriter, DEFAULT_CAL_ALPHA};
+use crate::server::DEFAULT_CAL_ALPHA;
 use crate::trace::{phase_sample, TraceCtx, TraceRecorder};
+use crate::wire::{Conn, Endpoint, Frame};
 use codar_circuit::decompose::decompose_three_qubit_gates;
 use codar_circuit::from_qasm::{circuit_from_flat, circuit_to_qasm};
 use codar_engine::RouterKind;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -154,15 +157,10 @@ pub struct Proxy {
 
 /// One client connection's pooled backend connections plus its
 /// deterministic jitter stream. Created per serve thread by
-/// [`Proxy::connections`]; never shared.
+/// [`Endpoint::open`]; never shared.
 pub struct BackendConns {
-    conns: Vec<Option<NdConn>>,
+    conns: Vec<Option<Conn>>,
     rng: StdRng,
-}
-
-struct NdConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
 }
 
 /// The rendezvous placement key of one request line: route requests
@@ -260,27 +258,9 @@ impl Proxy {
         Ok(Proxy { inner })
     }
 
-    /// Whether a `shutdown` request has been served.
-    pub fn shutdown_requested(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
-    }
-
     /// The configuration the tier was started with.
     pub fn config(&self) -> &ProxyConfig {
         &self.inner.config
-    }
-
-    /// Fresh per-connection backend state (pooled connections + the
-    /// jitter stream, seeded from the config seed and a connection
-    /// sequence number).
-    pub fn connections(&self) -> BackendConns {
-        let seq = self.inner.conn_seq.fetch_add(1, Ordering::SeqCst);
-        BackendConns {
-            conns: (0..self.inner.config.backends.len())
-                .map(|_| None)
-                .collect(),
-            rng: StdRng::seed_from_u64(self.inner.config.seed ^ seq.wrapping_mul(0x9E37_79B9)),
-        }
     }
 
     /// Marks backend `i` (index into the config's backend list) alive
@@ -384,11 +364,8 @@ impl Proxy {
             Ok(Request::Shutdown { id }) => {
                 // Best-effort broadcast so the whole deployment drains,
                 // then the proxy acks and stops serving itself.
-                let framed = frame(line);
                 for i in 0..self.inner.config.backends.len() {
-                    if self.call(i, conns, &framed).is_err() {
-                        conns.conns[i] = None;
-                    }
+                    let _ = self.call(i, conns, line);
                 }
                 self.inner.shutdown.store(true, Ordering::SeqCst);
                 return attach_id(
@@ -461,19 +438,15 @@ impl Proxy {
         conns: &mut BackendConns,
         client_trace: Option<&str>,
     ) -> String {
-        let framed = frame(line);
         let mut reply = None;
         for i in 0..self.inner.config.backends.len() {
-            match self.call(i, conns, &framed) {
+            match self.call(i, conns, line) {
                 Ok(body) => {
                     if reply.is_none() {
                         reply = Some(body);
                     }
                 }
-                Err(_) => {
-                    conns.conns[i] = None;
-                    self.set_alive(i, false);
-                }
+                Err(_) => self.set_alive(i, false),
             }
         }
         match reply {
@@ -504,7 +477,6 @@ impl Proxy {
         client_trace: Option<&str>,
     ) -> String {
         let metrics = &self.inner.metrics;
-        let framed = frame(line);
         let mut banned = vec![false; self.inner.config.backends.len()];
         for attempt in 0..=self.inner.config.retries {
             let Some(choice) = self.pick(key, &banned) else {
@@ -520,7 +492,7 @@ impl Proxy {
                 ctx.event("shard_pick", 0, Some(format!("backend={choice}")));
             }
             let attempt_started = Instant::now();
-            let attempted = self.call(choice, conns, &framed);
+            let attempted = self.call(choice, conns, line);
             let outcome = match &attempted {
                 Ok(reply) if !reply_is_draining(reply) => "ok",
                 Ok(_) => "draining",
@@ -552,7 +524,6 @@ impl Proxy {
                 }
                 Err(_) => {
                     ServiceMetrics::bump(&metrics.retries);
-                    conns.conns[choice] = None;
                     self.set_alive(choice, false);
                     banned[choice] = true;
                 }
@@ -562,41 +533,26 @@ impl Proxy {
         attach_trace(client_trace, &overloaded_body())
     }
 
-    /// One framed request/reply exchange with backend `i` over the
-    /// connection pool. Any failure — connect, write, read timeout,
-    /// EOF, torn frame — is an `Err`; the caller owns demotion.
-    fn call(&self, i: usize, conns: &mut BackendConns, framed: &str) -> std::io::Result<String> {
+    /// One request/reply exchange with backend `i` over the connection
+    /// pool. Any failure — connect, write, read timeout, EOF, torn
+    /// frame — is an `Err` and drops the pooled connection; the caller
+    /// owns demotion.
+    fn call(&self, i: usize, conns: &mut BackendConns, line: &str) -> std::io::Result<String> {
         let config = &self.inner.config;
-        if conns.conns[i].is_none() {
-            let stream = connect_with_timeout(&config.backends[i], config.connect_timeout)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(config.read_timeout))?;
-            let reader = BufReader::new(stream.try_clone()?);
-            conns.conns[i] = Some(NdConn {
-                reader,
-                writer: stream,
-            });
+        let slot = &mut conns.conns[i];
+        let conn = match slot {
+            Some(conn) => conn,
+            None => slot.insert(Conn::connect(
+                &config.backends[i],
+                Some(config.connect_timeout),
+                Some(config.read_timeout),
+            )?),
+        };
+        let reply = conn.call(line);
+        if reply.is_err() {
+            *slot = None;
         }
-        let conn = conns.conns[i].as_mut().expect("just connected");
-        conn.writer.write_all(framed.as_bytes())?;
-        conn.writer.flush()?;
-        let mut reply = String::new();
-        let n = conn.reader.read_line(&mut reply)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "backend closed the connection",
-            ));
-        }
-        if !reply.ends_with('\n') {
-            // EOF mid-line: the torn frame must never reach a client.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "torn reply frame",
-            ));
-        }
-        reply.pop();
-        Ok(reply)
+        reply
     }
 
     fn backoff(&self, rng: &mut StdRng, attempt: u32) {
@@ -623,7 +579,7 @@ impl Proxy {
     /// alive and no shutdown has been served. `"proxy":true` marks the
     /// answering tier.
     pub fn health_body(&self) -> String {
-        let draining = self.shutdown_requested();
+        let draining = self.stopping();
         let alive = self.alive_count();
         format!(
             "{{\"type\":\"health\",\"status\":\"ok\",\"proxy\":true,\"ready\":{},\
@@ -666,7 +622,7 @@ impl Proxy {
             ServiceMetrics::read(&m.retries),
             ServiceMetrics::read(&m.failovers),
             ServiceMetrics::read(&m.overloaded),
-            self.shutdown_requested(),
+            self.stopping(),
             self.alive_count(),
             self.inner.config.backends.len(),
         );
@@ -726,172 +682,57 @@ impl Proxy {
     pub fn recent_spans(&self, n: usize) -> Vec<String> {
         self.inner.recorder.recent(n)
     }
-
-    /// Serves one NDJSON stream through the tier: one response line
-    /// per request line, in order. Returns after EOF or shutdown.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the client reader or writer.
-    pub fn serve_ndjson(
-        &self,
-        mut reader: impl BufRead,
-        mut writer: impl Write,
-    ) -> std::io::Result<()> {
-        let mut conns = self.connections();
-        let mut buf = Vec::new();
-        while let Some(line) = read_request_line(&mut reader, &mut buf)? {
-            if self.shutdown_requested() {
-                break;
-            }
-            let mut response = match line {
-                Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => self.handle_line(line, &mut conns),
-                // Answered here, as a backend would: the bytes cannot
-                // be forwarded as a text line.
-                Err(_) => {
-                    ServiceMetrics::bump(&self.inner.metrics.requests);
-                    not_utf8_body()
-                }
-            };
-            response.push('\n');
-            writer.write_all(response.as_bytes())?;
-            writer.flush()?;
-            if self.shutdown_requested() {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Accept loop with the default 5 s drain (see
-    /// [`Proxy::serve_tcp_with_drain`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept errors other than `WouldBlock`.
-    pub fn serve_tcp(&self, listener: TcpListener) -> std::io::Result<()> {
-        self.serve_tcp_with_drain(listener, Duration::from_secs(5))
-    }
-
-    /// Accept loop: one thread per client connection. After a
-    /// `shutdown` the loop stops; connections still open at the drain
-    /// deadline get one final well-formed `error:"draining"` line and
-    /// a clean close — same contract as the backends'.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept errors other than `WouldBlock`.
-    pub fn serve_tcp_with_drain(
-        &self,
-        listener: TcpListener,
-        drain: Duration,
-    ) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut connections: Vec<(JoinHandle<()>, SharedWriter)> = Vec::new();
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    connections = connections
-                        .into_iter()
-                        .filter_map(|(handle, shared)| {
-                            if handle.is_finished() {
-                                let _ = handle.join();
-                                None
-                            } else {
-                                Some((handle, shared))
-                            }
-                        })
-                        .collect();
-                    if stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    let Ok(reader) = stream.try_clone() else {
-                        continue;
-                    };
-                    let shared = SharedWriter::new(stream);
-                    let writer = shared.clone();
-                    let proxy = self.clone();
-                    connections.push((
-                        std::thread::spawn(move || {
-                            let _ = proxy.serve_ndjson(BufReader::new(reader), writer);
-                        }),
-                        shared,
-                    ));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let deadline = std::time::Instant::now() + drain;
-        for (handle, shared) in connections {
-            while !handle.is_finished() && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if !handle.is_finished() {
-                shared.close(true);
-                let grace = std::time::Instant::now() + Duration::from_millis(250);
-                while !handle.is_finished() && std::time::Instant::now() < grace {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-            if handle.is_finished() {
-                let _ = handle.join();
-            }
-        }
-        Ok(())
-    }
 }
 
-fn frame(line: &str) -> String {
-    let mut framed = String::with_capacity(line.len() + 1);
-    framed.push_str(line);
-    framed.push('\n');
-    framed
-}
+impl Endpoint for Proxy {
+    type Conn = BackendConns;
 
-fn connect_with_timeout(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
-    let mut last = None;
-    for sock in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&sock, timeout) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last = Some(e),
+    /// Fresh per-connection backend state: pooled connections and the
+    /// jitter stream, seeded from the config seed and a connection
+    /// sequence number.
+    fn open(&self) -> BackendConns {
+        let seq = self.inner.conn_seq.fetch_add(1, Ordering::SeqCst);
+        BackendConns {
+            conns: (0..self.inner.config.backends.len())
+                .map(|_| None)
+                .collect(),
+            rng: StdRng::seed_from_u64(self.inner.config.seed ^ seq.wrapping_mul(0x9E37_79B9)),
         }
     }
-    Err(last.unwrap_or_else(|| std::io::Error::other("address resolved to nothing")))
+
+    fn answer(&self, conns: &mut BackendConns, frame: Frame<'_>) -> String {
+        match frame {
+            Ok(line) => self.handle_line(line, conns),
+            // Answered here, as a backend would: the bytes cannot be
+            // forwarded as a text line.
+            Err(bad) => {
+                ServiceMetrics::bump(&self.inner.metrics.requests);
+                bad.body()
+            }
+        }
+    }
+
+    fn stopping(&self) -> bool {
+        self.inner.shutdown.load(Ordering::SeqCst)
+    }
 }
 
 /// One health probe: connect, ask `health`, require `status:"ok"` and
 /// `ready:true` — a draining backend reports `ready:false` and drops
 /// out of rotation before its refusals cost clients retries.
-fn probe_backend(addr: &str, connect_timeout: Duration, read_timeout: Duration) -> bool {
-    let Ok(stream) = connect_with_timeout(addr, connect_timeout) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(read_timeout)).is_err() || stream.set_nodelay(true).is_err() {
-        return false;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(_) => return false,
-    };
-    if writer.write_all(b"{\"type\":\"health\"}\n").is_err() || writer.flush().is_err() {
-        return false;
-    }
-    let mut reply = String::new();
-    let mut reader = BufReader::new(stream);
-    match reader.read_line(&mut reply) {
-        Ok(n) if n > 0 && reply.ends_with('\n') => Json::parse(reply.trim_end())
-            .ok()
-            .map(|parsed| {
-                parsed.get("status").and_then(Json::as_str) == Some("ok")
-                    && parsed.get("ready").and_then(Json::as_bool) == Some(true)
-            })
-            .unwrap_or(false),
-        _ => false,
-    }
+fn probe_backend(addr: &str, config: &ProxyConfig) -> bool {
+    Conn::connect(
+        addr,
+        Some(config.connect_timeout),
+        Some(config.read_timeout),
+    )
+    .and_then(|mut conn| conn.call("{\"type\":\"health\"}"))
+    .ok()
+    .and_then(|reply| Json::parse(&reply).ok())
+    .is_some_and(|parsed| {
+        parsed.get("status").and_then(Json::as_str) == Some("ok")
+            && parsed.get("ready").and_then(Json::as_bool) == Some(true)
+    })
 }
 
 fn prober_loop(inner: &ProxyInner) {
@@ -911,12 +752,7 @@ fn prober_loop(inner: &ProxyInner) {
             if inner.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            let healthy = probe_backend(
-                addr,
-                inner.config.connect_timeout,
-                inner.config.read_timeout,
-            );
-            inner.alive[i].store(healthy, Ordering::SeqCst);
+            inner.alive[i].store(probe_backend(addr, &inner.config), Ordering::SeqCst);
         }
     }
 }
@@ -1000,7 +836,7 @@ mod tests {
             ..ProxyConfig::default()
         })
         .unwrap();
-        let mut conns = proxy.connections();
+        let mut conns = proxy.open();
         for (line, kind) in [
             ("{\"type\":\"health\",\"id\":1}", "health"),
             ("{\"type\":\"stats\",\"id\":2}", "stats"),
@@ -1049,7 +885,7 @@ mod tests {
             ..ProxyConfig::default()
         })
         .unwrap();
-        let mut conns = proxy.connections();
+        let mut conns = proxy.open();
         let reply = proxy.handle_line(&route_line("qreg q[2]; cx q[0], q[1];"), &mut conns);
         let parsed = Json::parse(&reply).expect(&reply);
         assert_eq!(

@@ -1,4 +1,4 @@
-//! The daemon core: request lifecycle, NDJSON stream serving, TCP.
+//! The daemon core: the request lifecycle.
 //!
 //! Request lifecycle (see ARCHITECTURE.md, "Service layer"):
 //!
@@ -18,23 +18,25 @@
 //!
 //! A [`Service`] is cheaply cloneable (an `Arc` around the shared
 //! state); [`Service::handle_line`] is the synchronous core used by
-//! every front end — the `--stdin` NDJSON mode, per-connection TCP
-//! threads and the in-process loadgen transport. Responses for one
-//! stream are always emitted in request order because each stream is
-//! handled by one thread; concurrent streams share the worker pool and
-//! the cache.
+//! every front end — the in-process loadgen transport, and the
+//! `--stdin` and TCP modes, whose stream and accept loops live in
+//! [`crate::wire`] (`Service` is an [`Endpoint`]). Responses for
+//! one stream are always emitted in request order because each stream
+//! is handled by one thread; concurrent streams share the worker pool
+//! and the cache.
 
 use crate::cache::{fnv1a_extend, key_material, CacheStats, ShardedCache, FNV_OFFSET};
 use crate::faults::{FaultAction, FaultInjector, FaultPlan, KILL_EXIT_CODE};
 use crate::json::escape;
 use crate::metrics::{ServiceMetrics, PHASE_NAMES, VERB_NAMES};
 use crate::protocol::{
-    attach_id, attach_trace, calibration_get_body, calibration_set_body, error_body, not_utf8_body,
-    overloaded_body, read_request_line, shutdown_body, CalAction, CalPayload, Request,
-    TRACE_REPLY_DEFAULT, TRACE_REPLY_MAX,
+    attach_id, attach_trace, calibration_get_body, calibration_set_body, error_body,
+    overloaded_body, shutdown_body, CalAction, CalPayload, Request, TRACE_REPLY_DEFAULT,
+    TRACE_REPLY_MAX,
 };
 use crate::queue::{Bounded, PushError};
 use crate::trace::{phase_sample, TraceCtx, TraceRecorder};
+use crate::wire::{Endpoint, Frame};
 use crate::worker::{spawn_pool, RouteJob};
 use codar_arch::{CalibrationSnapshot, Device, FidelityModel};
 use codar_circuit::decompose::decompose_three_qubit_gates;
@@ -42,13 +44,10 @@ use codar_circuit::from_qasm::{circuit_from_flat, circuit_to_qasm};
 use codar_engine::{Backend, RouterKind, RouterVariant};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::str::Utf8Error;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default calibration blend weight of `codar-cal` route requests
 /// that do not pass an explicit `alpha`.
@@ -73,7 +72,7 @@ pub struct ServiceConfig {
     /// the production shape). See [`crate::faults`].
     pub fault_plan: Option<FaultPlan>,
     /// Whether a `kill` fault exits the process (`coded
-    /// --fault-plan`) or merely latches [`Service::fault_killed`]
+    /// --fault-plan`) or merely latches [`Endpoint::killed`]
     /// (the in-process harness).
     pub fault_exit: bool,
     /// NDJSON trace log path (`coded --trace-log`). When set, every
@@ -211,40 +210,6 @@ impl Service {
             .iter()
             .find(|(key, device)| *key == wanted || device.name().to_ascii_lowercase() == wanted)
             .map(|(_, device)| Arc::clone(device))
-    }
-
-    /// Whether a `shutdown` request has been served.
-    pub fn shutdown_requested(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Whether an injected `kill` fault has fired (in-process harness
-    /// mode; the real binary exits instead). Serve loops treat it like
-    /// a shutdown with no drain courtesy — a dead process writes
-    /// nothing.
-    pub fn fault_killed(&self) -> bool {
-        self.inner
-            .faults
-            .as_ref()
-            .is_some_and(FaultInjector::killed)
-    }
-
-    /// Whether an injected `refuse` fault has fired: the accept loop
-    /// must close its listener (existing connections keep serving).
-    pub fn fault_refusing(&self) -> bool {
-        self.inner
-            .faults
-            .as_ref()
-            .is_some_and(FaultInjector::refusing)
-    }
-
-    /// Counts one request line against the fault plan and returns the
-    /// serve loop's marching orders.
-    fn fault_action(&self) -> FaultAction {
-        self.inner
-            .faults
-            .as_ref()
-            .map_or(FaultAction::None, FaultInjector::on_request)
     }
 
     /// The active calibration snapshot of `device` (canonical name).
@@ -423,7 +388,7 @@ impl Service {
         // daemon only finishes what it already accepted. The error
         // message leads with "draining" — the proxy keys its failover
         // on that prefix.
-        if self.shutdown_requested() {
+        if self.stopping() {
             return fail("draining: shutting down, not accepting new route work".to_string());
         }
         let Some(device) = self.lookup_device(device_name) else {
@@ -767,7 +732,7 @@ impl Service {
     /// started — a draining daemon refuses new route work, and the
     /// proxy's prober takes `ready:false` as "stop routing here").
     pub fn health_body(&self) -> String {
-        let draining = self.shutdown_requested();
+        let draining = self.stopping();
         format!(
             "{{\"type\":\"health\",\"status\":\"ok\",\"ready\":{},\"draining\":{},\
              \"workers\":{},\"queue_depth\":{},\"queue_capacity\":{}}}",
@@ -803,7 +768,7 @@ impl Service {
             self.inner.queue.len(),
             self.inner.config.queue_capacity,
             self.inner.config.workers.max(1),
-            self.shutdown_requested(),
+            self.stopping(),
             ServiceMetrics::read(&metrics.verb_route),
             ServiceMetrics::read(&metrics.verb_calibration),
             ServiceMetrics::read(&metrics.verb_stats),
@@ -914,205 +879,57 @@ impl Service {
         out.push_str("]}");
         out
     }
+}
 
-    /// Answers one framed request line: [`Service::handle_line`] for
-    /// text, a well-formed error reply for bytes that are not UTF-8.
-    fn respond(&self, line: Result<&str, Utf8Error>) -> String {
-        match line {
+impl Endpoint for Service {
+    type Conn = ();
+
+    fn open(&self) {}
+
+    fn answer(&self, _conn: &mut (), frame: Frame<'_>) -> String {
+        match frame {
             Ok(line) => self.handle_line(line),
-            Err(_) => {
+            Err(bad) => {
                 let metrics = &self.inner.metrics;
                 ServiceMetrics::bump(&metrics.requests);
                 ServiceMetrics::bump(&metrics.errors);
-                not_utf8_body()
+                bad.body()
             }
         }
     }
 
-    /// Serves one NDJSON stream: one response line per request line,
-    /// in order. Returns after EOF or a `shutdown` request — including
-    /// a shutdown served on *another* stream of the same service: the
-    /// flag is checked before every line is handled, so no stream
-    /// keeps serving new requests once any stream accepted a shutdown.
-    /// Blank lines are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the reader or writer.
-    pub fn serve_ndjson(
-        &self,
-        mut reader: impl BufRead,
-        mut writer: impl Write,
-    ) -> std::io::Result<()> {
-        let mut buf = Vec::new();
-        while let Some(line) = read_request_line(&mut reader, &mut buf)? {
-            // Before, not only after, handling: a shutdown served on a
-            // concurrent stream must stop this one at its next line,
-            // not let it keep serving indefinitely. A fired kill fault
-            // stops every stream the same way.
-            if self.shutdown_requested() || self.fault_killed() {
-                break;
-            }
-            if line.is_ok_and(|line| line.trim().is_empty()) {
-                continue;
-            }
-            // The fault plan counts request lines globally across this
-            // daemon's streams; most lines get `None` and cost one
-            // atomic increment.
-            match self.fault_action() {
-                FaultAction::None => {}
-                FaultAction::Delay(pause) => std::thread::sleep(pause),
-                FaultAction::Hang(pause) => {
-                    // A stuck shard: park, then close without a reply.
-                    std::thread::sleep(pause);
-                    break;
-                }
-                FaultAction::Kill => {
-                    if self.inner.config.fault_exit {
-                        std::process::exit(KILL_EXIT_CODE);
-                    }
-                    break;
-                }
-                FaultAction::CloseAfter(bytes) => {
-                    // The torn frame: a prefix of the real reply, then
-                    // the stream ends.
-                    let mut response = self.respond(line);
-                    response.push('\n');
-                    let cut = bytes.min(response.len());
-                    writer.write_all(&response.as_bytes()[..cut])?;
-                    writer.flush()?;
-                    break;
-                }
-            }
-            let mut response = self.respond(line);
-            response.push('\n');
-            // One write per response line: a split write would put the
-            // newline in its own TCP segment and stall on
-            // Nagle/delayed-ACK interaction.
-            writer.write_all(response.as_bytes())?;
-            writer.flush()?;
-            if self.shutdown_requested() {
-                break;
-            }
-        }
-        Ok(())
+    fn stopping(&self) -> bool {
+        self.inner.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Accept loop: one thread per connection, each serving its stream
-    /// through [`Service::serve_ndjson`]. Returns once a `shutdown`
-    /// request has been served (on any connection) **and** the
-    /// per-connection threads have drained (default deadline 5 s) —
-    /// see [`Service::serve_tcp_with_drain`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept errors other than `WouldBlock`.
-    pub fn serve_tcp(&self, listener: TcpListener) -> std::io::Result<()> {
-        self.serve_tcp_with_drain(listener, Duration::from_secs(5))
+    /// Counts the line against the fault plan. Most lines get `None`
+    /// and cost one atomic increment. A `Kill` in a `fault_exit`
+    /// daemon does not return: the process exits here.
+    fn fault(&self) -> FaultAction {
+        let action = self
+            .inner
+            .faults
+            .as_ref()
+            .map_or(FaultAction::None, FaultInjector::on_request);
+        if action == FaultAction::Kill && self.inner.config.fault_exit {
+            std::process::exit(KILL_EXIT_CODE);
+        }
+        action
     }
 
-    /// [`Service::serve_tcp`] with an explicit drain deadline.
-    ///
-    /// Connection threads are tracked, and after a `shutdown` has been
-    /// served the accept loop stops and joins them so in-flight
-    /// responses complete before the caller (typically `coded`'s
-    /// `main`) exits and would kill them mid-write. Threads parked in a
-    /// blocking read on an idle connection cannot be interrupted
-    /// portably, so the join is bounded by `drain`: a connection still
-    /// open at the deadline is sent one final well-formed
-    /// `error:"draining"` line and its socket is shut down — the
-    /// client sees an explicit goodbye and a clean EOF, never silence
-    /// or a torn frame (the socket shutdown also wakes the parked
-    /// reader so the thread exits).
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept errors other than `WouldBlock`.
-    pub fn serve_tcp_with_drain(
-        &self,
-        listener: TcpListener,
-        drain: Duration,
-    ) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        // Inside an Option so a `refuse` fault can close it mid-loop
-        // while existing connections keep being served.
-        let mut listener = Some(listener);
-        let mut connections: Vec<(JoinHandle<()>, SharedWriter)> = Vec::new();
-        while !self.shutdown_requested() && !self.fault_killed() {
-            if self.fault_refusing() {
-                listener = None;
-            }
-            let Some(active) = listener.as_ref() else {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            };
-            match active.accept() {
-                Ok((stream, _addr)) => {
-                    // Reap finished connections as we go so the handle
-                    // list tracks live connections, not history.
-                    connections = connections
-                        .into_iter()
-                        .filter_map(|(handle, shared)| {
-                            if handle.is_finished() {
-                                let _ = handle.join();
-                                None
-                            } else {
-                                Some((handle, shared))
-                            }
-                        })
-                        .collect();
-                    // Per-connection setup failures (e.g. the client
-                    // RSTs immediately) only cost that client its
-                    // connection — they must never stop the accept
-                    // loop. Request/response lines are tiny, so Nagle
-                    // coalescing would cost tens of ms per line.
-                    if stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    let Ok(reader) = stream.try_clone() else {
-                        continue;
-                    };
-                    let shared = SharedWriter::new(stream);
-                    let writer = shared.clone();
-                    let service = self.clone();
-                    connections.push((
-                        std::thread::spawn(move || {
-                            let _ = service.serve_ndjson(std::io::BufReader::new(reader), writer);
-                        }),
-                        shared,
-                    ));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let deadline = std::time::Instant::now() + drain;
-        // A killed daemon is a dead process: it writes no goodbye. A
-        // draining one owes every still-open connection a final
-        // well-formed line before the close.
-        let courtesy = !self.fault_killed();
-        for (handle, shared) in connections {
-            while !handle.is_finished() && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if !handle.is_finished() {
-                shared.close(courtesy);
-                // The shutdown wakes the parked reader with EOF, so
-                // the thread exits promptly; a short grace bounds the
-                // join (a hang-faulted thread may sleep past it — it
-                // holds nothing but its stack by now).
-                let grace = std::time::Instant::now() + Duration::from_millis(250);
-                while !handle.is_finished() && std::time::Instant::now() < grace {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-            if handle.is_finished() {
-                let _ = handle.join();
-            }
-        }
-        Ok(())
+    fn refusing(&self) -> bool {
+        self.inner
+            .faults
+            .as_ref()
+            .is_some_and(FaultInjector::refusing)
+    }
+
+    /// In-process harness mode; a `fault_exit` daemon exits instead.
+    fn killed(&self) -> bool {
+        self.inner
+            .faults
+            .as_ref()
+            .is_some_and(FaultInjector::killed)
     }
 }
 
@@ -1155,67 +972,13 @@ pub(crate) fn outcome_of(body: &str) -> &'static str {
     }
 }
 
-/// A cloneable TCP writer shared between a connection's serve thread
-/// and the drain path, so drain can deliver one final well-formed
-/// `error:"draining"` line instead of silently abandoning the client.
-/// Each [`Write::write`] takes the lock once and writes the whole
-/// buffer, so response lines written by either side never interleave
-/// mid-line.
-#[derive(Clone)]
-pub(crate) struct SharedWriter {
-    stream: Arc<Mutex<TcpStream>>,
-}
-
-impl SharedWriter {
-    pub(crate) fn new(stream: TcpStream) -> SharedWriter {
-        SharedWriter {
-            stream: Arc::new(Mutex::new(stream)),
-        }
-    }
-
-    /// Ends the connection: with `courtesy`, first writes the final
-    /// draining error line; either way shuts the socket down both
-    /// directions (waking any parked reader with EOF). Write failures
-    /// are ignored — the client may already be gone.
-    pub(crate) fn close(&self, courtesy: bool) {
-        let Ok(mut stream) = self.stream.lock() else {
-            return;
-        };
-        if courtesy {
-            let mut line = error_body("draining: connection closed by server shutdown");
-            line.push('\n');
-            let _ = stream.write_all(line.as_bytes());
-            let _ = stream.flush();
-        }
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-}
-
-impl Write for SharedWriter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut stream = self
-            .stream
-            .lock()
-            .map_err(|_| std::io::Error::other("writer lock poisoned"))?;
-        // All-or-nothing under one lock hold: `write_all` on the
-        // wrapper must not interleave with the drain line.
-        stream.write_all(buf)?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        let mut stream = self
-            .stream
-            .lock()
-            .map_err(|_| std::io::Error::other("writer lock poisoned"))?;
-        stream.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::Json;
+    use crate::wire::{serve_stream, serve_tcp, DEFAULT_DRAIN};
+    use std::net::TcpListener;
+    use std::time::Duration;
 
     const GHZ3: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[3];\n\
                         h q[0];\ncx q[0], q[1];\ncx q[1], q[2];\nmeasure q -> c;\n";
@@ -1287,10 +1050,10 @@ mod tests {
             other => panic!("expected device array, got {other:?}"),
         }
 
-        assert!(!service.shutdown_requested());
+        assert!(!service.stopping());
         let ack = service.handle_line("{\"type\":\"shutdown\",\"id\":5}");
         assert_eq!(ack, "{\"id\":5,\"type\":\"shutdown\",\"status\":\"ok\"}");
-        assert!(service.shutdown_requested());
+        assert!(service.stopping());
     }
 
     #[test]
@@ -1419,9 +1182,7 @@ mod tests {
             route_line("q5", "greedy", GHZ3)
         );
         let mut output = Vec::new();
-        service
-            .serve_ndjson(std::io::BufReader::new(input.as_bytes()), &mut output)
-            .unwrap();
+        serve_stream(&service, input.as_bytes(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         // Three responses: route, stats, shutdown ack; the post-
@@ -1493,9 +1254,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = {
             let service = service.clone();
-            std::thread::spawn(move || {
-                service.serve_tcp_with_drain(listener, Duration::from_millis(300))
-            })
+            std::thread::spawn(move || serve_tcp(&service, listener, Duration::from_millis(300)))
         };
         let mut idle = std::net::TcpStream::connect(addr).expect("connect idle");
         let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
@@ -1637,9 +1396,7 @@ mod tests {
         let input = "{\"type\":\"stats\",\"id\":1}\n{\"type\":\"stats\",\"id\":2}\n\
                      {\"type\":\"stats\",\"id\":3}\n";
         let mut output = Vec::new();
-        service
-            .serve_ndjson(std::io::BufReader::new(input.as_bytes()), &mut output)
-            .unwrap();
+        serve_stream(&service, input.as_bytes(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.split('\n').collect();
         assert!(lines[0].contains("\"id\":1"), "{text}");
@@ -1654,19 +1411,12 @@ mod tests {
             ..ServiceConfig::default()
         });
         let mut output = Vec::new();
-        service
-            .serve_ndjson(std::io::BufReader::new(input.as_bytes()), &mut output)
-            .unwrap();
+        serve_stream(&service, input.as_bytes(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         assert_eq!(text.lines().count(), 1, "{text}");
-        assert!(service.fault_killed());
+        assert!(service.killed());
         let mut other = Vec::new();
-        service
-            .serve_ndjson(
-                std::io::BufReader::new(&b"{\"type\":\"stats\"}\n"[..]),
-                &mut other,
-            )
-            .unwrap();
+        serve_stream(&service, &b"{\"type\":\"stats\"}\n"[..], &mut other).unwrap();
         assert!(other.is_empty(), "killed daemons serve no stream");
     }
 
@@ -1678,7 +1428,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = {
             let service = service.clone();
-            std::thread::spawn(move || service.serve_tcp(listener))
+            std::thread::spawn(move || serve_tcp(&service, listener, DEFAULT_DRAIN))
         };
         let mut stream = std::net::TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().unwrap());

@@ -424,7 +424,9 @@ mod tests {
         let addr = listener.local_addr().expect("addr").to_string();
         let server = {
             let service = service.clone();
-            std::thread::spawn(move || service.serve_tcp(listener))
+            std::thread::spawn(move || {
+                crate::wire::serve_tcp(&service, listener, crate::wire::DEFAULT_DRAIN)
+            })
         };
         let config = SoakConfig {
             rounds: 3,

@@ -12,6 +12,7 @@ use codar_service::fuzz::InvariantChecker;
 use codar_service::json::{escape, Json};
 use codar_service::protocol::error_body;
 use codar_service::proxy::{Proxy, ProxyConfig};
+use codar_service::wire::{self, Conn, Endpoint};
 use codar_service::{FaultPlan, Service, ServiceConfig, ShardFleet};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -103,7 +104,7 @@ fn shard_count_one_two_four_is_byte_invisible() {
         let mut fleet = ShardFleet::start(&base, &vec![None; shards], Duration::from_millis(300))
             .expect("fleet starts");
         let proxy = Proxy::start(tier_config(fleet.addrs())).expect("proxy starts");
-        let mut conns = proxy.connections();
+        let mut conns = proxy.open();
         let replies: Vec<String> = lines
             .iter()
             .map(|l| proxy.handle_line(l, &mut conns))
@@ -140,7 +141,7 @@ fn kill_restart_run(before: &[String], after: &[String]) -> Vec<String> {
         ShardFleet::start(&base, &plans, Duration::from_millis(300)).expect("fleet starts");
     let proxy = Proxy::start(tier_config(fleet.addrs())).expect("proxy starts");
     let mut replies = Vec::new();
-    let mut conns = proxy.connections();
+    let mut conns = proxy.open();
     for line in before {
         replies.push(proxy.handle_line(line, &mut conns));
     }
@@ -154,7 +155,7 @@ fn kill_restart_run(before: &[String], after: &[String]) -> Vec<String> {
     fleet.restart(1).expect("shard 1 rebinds its port");
     proxy.set_alive(1, true);
     // Fresh pool: the old shard-1 connection died with the process.
-    let mut conns = proxy.connections();
+    let mut conns = proxy.open();
     for line in after {
         replies.push(proxy.handle_line(line, &mut conns));
     }
@@ -225,7 +226,7 @@ fn every_fault_kind_yields_one_well_formed_reply_per_line() {
             lines.push(pair.1.clone());
         }
         let mut checker = InvariantChecker::new();
-        let mut conns = proxy.connections();
+        let mut conns = proxy.open();
         for line in &lines {
             let reply = proxy.handle_line(line, &mut conns);
             checker
@@ -276,7 +277,7 @@ proptest! {
         let line = aimed.expect("64 candidate keys never landed on the armed shard");
         let direct = Service::start(base.clone());
         let expected = direct.handle_line(&line);
-        let mut conns = proxy.connections();
+        let mut conns = proxy.open();
         let reply = proxy.handle_line(&line, &mut conns);
         prop_assert_eq!(&reply, &expected, "failover reply diverged (cut {})", cut);
         prop_assert!(u64_field(&proxy.stats_body(), "failovers") >= 1,
@@ -348,7 +349,7 @@ fn every_truncation_offset_is_survived() {
         // start a fresh pool so it is dialed again.
         proxy.set_alive(0, true);
         proxy.set_alive(1, true);
-        let mut conns = proxy.connections();
+        let mut conns = proxy.open();
         let reply = proxy.handle_line(&line, &mut conns);
         assert_eq!(reply, expected, "offset {cut}/{} leaked", canned.len());
     }
@@ -388,7 +389,7 @@ fn draining_refusal_fails_over_cleanly() {
     });
     let direct = Service::start(base.clone());
     let expected = direct.handle_line(&line);
-    let mut conns = proxy.connections();
+    let mut conns = proxy.open();
     let reply = proxy.handle_line(&line, &mut conns);
     assert_eq!(reply, expected, "the draining refusal leaked to the client");
     assert!(
@@ -407,14 +408,14 @@ fn shutdown_broadcast_reaches_every_shard() {
     let mut fleet = ShardFleet::start(&base, &[None, None, None], Duration::from_millis(300))
         .expect("fleet starts");
     let proxy = Proxy::start(tier_config(fleet.addrs())).expect("proxy starts");
-    let mut conns = proxy.connections();
+    let mut conns = proxy.open();
     let reply = proxy.handle_line("{\"type\":\"shutdown\",\"id\":1}", &mut conns);
     let parsed = Json::parse(&reply).expect(&reply);
     assert_eq!(parsed.get("status").and_then(Json::as_str), Some("ok"));
-    assert!(proxy.shutdown_requested());
+    assert!(proxy.stopping());
     for i in 0..3 {
         assert!(
-            fleet.service(i).shutdown_requested(),
+            fleet.service(i).stopping(),
             "shard {i} missed the shutdown broadcast"
         );
     }
@@ -432,9 +433,7 @@ fn proxy_answers_non_utf8_lines_and_keeps_serving() {
     let proxy = Proxy::start(tier_config(fleet.addrs())).expect("proxy starts");
     let input = b"{\"type\":\"devices\",\"id\":1}\n\xff\xfe\n{\"type\":\"health\",\"id\":3}\n";
     let mut out = Vec::new();
-    proxy
-        .serve_ndjson(&input[..], &mut out)
-        .expect("stream served");
+    wire::serve_stream(&proxy, &input[..], &mut out).expect("stream served");
     let text = String::from_utf8(out).expect("replies are UTF-8");
     let replies: Vec<&str> = text.lines().collect();
     assert_eq!(replies.len(), 3, "{text}");
@@ -448,5 +447,55 @@ fn proxy_answers_non_utf8_lines_and_keeps_serving() {
         "{}",
         replies[2]
     );
+    fleet.shutdown();
+}
+
+/// The proxy's accept loop drains like the daemon's: after a shutdown
+/// served on one connection, a client still idle at the drain deadline
+/// gets one well-formed `draining` goodbye line, then EOF.
+#[test]
+fn proxy_shutdown_on_one_connection_drains_the_others() {
+    let mut fleet = ShardFleet::start(
+        &ServiceConfig::default(),
+        &[None],
+        Duration::from_millis(300),
+    )
+    .expect("fleet starts");
+    let proxy = Proxy::start(tier_config(fleet.addrs())).expect("proxy starts");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().expect("proxy addr").to_string();
+    let server = {
+        let proxy = proxy.clone();
+        std::thread::spawn(move || wire::serve_tcp(&proxy, listener, Duration::from_millis(300)))
+    };
+    let mut idle = Conn::connect(&addr, None, None).expect("connect idle");
+    let mut control = Conn::connect(&addr, None, None).expect("connect control");
+    // The idle connection serves a request first, proving its thread is
+    // up before the shutdown arrives elsewhere.
+    let health = idle.call("{\"type\":\"health\",\"id\":1}").expect("health");
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
+    let ack = control
+        .call("{\"type\":\"shutdown\"}")
+        .expect("shutdown ack");
+    assert!(ack.contains("\"type\":\"shutdown\""), "{ack}");
+    server
+        .join()
+        .expect("accept thread")
+        .expect("accept loop drains and exits");
+
+    let goodbye = idle.recv().expect("drain says goodbye in a whole frame");
+    let parsed = Json::parse(&goodbye).expect("drain line is valid JSON");
+    assert_eq!(parsed.get("status").and_then(Json::as_str), Some("error"));
+    assert!(
+        parsed
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|error| error.starts_with("draining")),
+        "{goodbye}"
+    );
+    let after = idle
+        .recv()
+        .expect_err("the stream is closed after the goodbye");
+    assert_eq!(after.kind(), std::io::ErrorKind::UnexpectedEof);
     fleet.shutdown();
 }
